@@ -7,6 +7,10 @@ Every completed campaign cell owns one artifact folder::
         metrics.json   # the cell's MetricsRecorder snapshot
         trace.jsonl    # the cell's span trace (repro-trace/1)
 
+``result.json`` and ``metrics.json`` are written atomically (temp file
+in the same folder, fsync, ``os.replace``): a crash leaves either no
+file or a complete one, never a torn one.
+
 ``result.json`` and the checkpoint payload share one encoding
 (:func:`encode_result` / :func:`decode_result`): finite floats
 round-trip bit-exactly through ``repr``-based JSON, and non-finite
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -86,6 +91,26 @@ def decode_result(payload: Mapping) -> ExperimentResult:
     )
 
 
+def _write_json_atomic(path: Path, doc) -> None:
+    """Write ``doc`` as JSON to ``path``: the whole file or nothing.
+
+    The text goes to a temp file in the same folder, is fsynced, and is
+    then renamed over ``path``; on any failure the temp file is removed
+    and ``path`` keeps its previous state.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_cell_artifacts(
     directory: Union[str, Path],
     *,
@@ -111,13 +136,8 @@ def write_cell_artifacts(
         "knobs": dict(cell.knobs),
         "result": encode_result(result),
     }
-    (folder / "result.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (folder / "metrics.json").write_text(
-        json.dumps(recorder.snapshot(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json_atomic(folder / "result.json", doc)
+    _write_json_atomic(folder / "metrics.json", recorder.snapshot())
     recorder.write_trace(
         folder / "trace.jsonl",
         meta={"generator": "repro-campaign", "campaign": campaign, "cell": cell.name},

@@ -32,7 +32,12 @@ demands any non-negative vector.
 """
 
 from repro.coverage.problem import CoverProblem
-from repro.coverage.greedy import GreedyResult, greedy_cover, static_order_cover
+from repro.coverage.greedy import (
+    GreedyResult,
+    GreedyState,
+    greedy_cover,
+    static_order_cover,
+)
 from repro.coverage.sparse import SparseCoverage
 from repro.coverage.lazy import LazyGreedyState, lazy_sparse_greedy_cover
 from repro.coverage.dispatch import (
@@ -55,6 +60,7 @@ from repro.coverage.bounds import (
 __all__ = [
     "CoverProblem",
     "GreedyResult",
+    "GreedyState",
     "greedy_cover",
     "static_order_cover",
     "SparseCoverage",

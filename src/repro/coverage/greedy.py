@@ -32,6 +32,16 @@ row values are unchanged, unmasked rows score ``-inf``, and the
 lowest-index tie-break over masked rows coincides with the tie-break over
 the sorted slice.
 
+Nesting goes further than the shared truncation: a group's greedy run
+usually repeats most of the previous group's steps, because a newly
+affordable worker changes a step only if it beats (or ties, at a lower
+index) that step's winner.  ``state.sweep(masks)`` keeps each run's
+trajectory — the residual before every step, the item chosen, the step
+maximum — scores only the newly eligible items against the stored
+residuals, and resumes the ordinary loop at the first step they could
+change.  It yields exactly what ``[state.solve(m) for m in masks]``
+would, bit for bit.
+
 Tie-breaking rule
 -----------------
 The paper's ``argmax`` is silent on ties, which are common late in a run
@@ -47,7 +57,7 @@ tie-break preserves the Lemma 2 cover-size bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +77,10 @@ _TOL = DEMAND_TOL
 
 #: Row-block size for the static-order cover's chunked prefix scan.
 _BLOCK = 128
+
+#: Element budget of one block of a sweep's divergence scoring (new items
+#: x trajectory steps x constraints), bounding its scratch memory.
+_SWEEP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,15 +120,83 @@ def _as_item_mask(budget_mask, n_items: int) -> np.ndarray:
     return out
 
 
+def _result(order: Sequence[int]) -> GreedyResult:
+    """The result of a run that selected ``order``."""
+    return GreedyResult(selection=np.array(sorted(order), dtype=int), order=tuple(order))
+
+
+class _Trajectory:
+    """One greedy run, kept so a sweep can resume it for the next mask.
+
+    ``residuals[t]`` is the residual demand before step ``t``, ``chosen[t]``
+    the item that step selected (the run's order, which :meth:`solve`
+    appends to directly) and ``maxima[t]`` the step's best score.
+    An infeasible run also keeps the residual it stalled at, so
+    ``residuals`` then has one entry more than ``chosen``.
+    """
+
+    def __init__(self) -> None:
+        self.eligible: np.ndarray | None = None
+        self.residuals: list[np.ndarray] = []
+        self.chosen: list[int] = []
+        self.maxima: list[float] = []
+        self.feasible = False
+
+    def truncate(self, n_steps: int) -> None:
+        """Keep only the first ``n_steps`` steps."""
+        del self.residuals[n_steps:], self.chosen[n_steps:], self.maxima[n_steps:]
+
+    def divergence(self, gains: np.ndarray, available: np.ndarray) -> int:
+        """First step whose choice may change once ``available`` is eligible.
+
+        ``available`` must be a superset of :attr:`eligible`.  Only the
+        newly eligible items are scored, against every stored residual, as
+        ``min(gains, r_t)`` rows summed over all ``K`` columns — the same
+        reduction the kernel's ``truncated.sum(axis=1)`` performs, so the
+        scores match it bitwise.  Step ``t`` is kept when no new item beats
+        ``M_t`` and no new item below ``chosen[t]`` ties it within
+        ``_TOL``; any other step is divergent.
+        """
+        n_steps = len(self.chosen)
+        new = np.flatnonzero(available & ~self.eligible)
+        if new.size == 0 or n_steps == 0:
+            return n_steps
+        rows = gains[new]
+        n_constraints = gains.shape[1]
+        per_step = new.size * n_constraints
+        chunk = max(1, _SWEEP_BLOCK // per_step)
+        chosen = np.asarray(self.chosen)
+        maxima = np.asarray(self.maxima)
+        for start in range(0, n_steps, chunk):
+            stop = min(start + chunk, n_steps)
+            residuals = np.stack(self.residuals[start:stop])
+            scores = (
+                np.minimum(rows[:, np.newaxis, :], residuals[np.newaxis])
+                .reshape(-1, n_constraints)
+                .sum(axis=1)
+                .reshape(new.size, stop - start)
+            )
+            best = maxima[start:stop]
+            diverged = scores.max(axis=0) > best
+            diverged |= np.any(
+                (scores >= best - _TOL) & (new[:, np.newaxis] < chosen[start:stop]),
+                axis=0,
+            )
+            if diverged.any():
+                return start + int(np.argmax(diverged))
+        return n_steps
+
+
 class GreedyState:
     """Shared precomputation for many budget-restricted runs on one problem.
 
     Builds the snapped residual-demand vector and the initial truncated
     gain matrix ``T = min(gains, demands)`` once; :meth:`solve` then runs
     the adaptive greedy restricted to any subset of items without
-    recomputing either.  Used by :class:`repro.engine.SweepEngine` to
-    solve the nested affordable-worker groups of a price sweep in
-    ascending price order with one shared gain matrix.
+    recomputing either, and :meth:`sweep` solves a sequence of nested
+    masks reusing each run's trajectory for the next.  Used by
+    :class:`repro.engine.SweepEngine` to solve the nested affordable-worker
+    groups of a price sweep in ascending price order.
     """
 
     def __init__(self, problem: CoverProblem) -> None:
@@ -128,7 +210,34 @@ class GreedyState:
             None if self._trivial else np.minimum(problem.gains, residual[np.newaxis, :])
         )
 
-    def solve(self, budget_mask=None) -> GreedyResult:
+    def sweep(self, masks: Iterable) -> Iterator[GreedyResult | InfeasibleError]:
+        """Solve each mask in turn, resuming the previous mask's run.
+
+        Yields, per mask, exactly what ``self.solve(mask)`` would return —
+        or the :class:`InfeasibleError` it would raise — with the same
+        selection and order.  Masks are consumed lazily, one per yield.
+
+        When a mask is a superset of the previous one (the nested price
+        groups of a sweep), the previous greedy trajectory is replayed up
+        to its first divergent step: the first step where a newly eligible
+        item beats the step's maximum, or ties it within ``_TOL`` at a
+        lower index than the item chosen (an infeasible run diverges at its
+        end at the latest).  Every earlier step makes the same choice
+        under the larger mask, so only the items new to the mask are
+        scored, and the ordinary loop resumes from the stored residual.
+        Any other mask restarts from scratch, so correctness never depends
+        on the caller ordering its masks.
+        """
+        trajectory = _Trajectory()
+        for mask in masks:
+            try:
+                yield self.solve(mask, _trajectory=trajectory)
+            except InfeasibleError as exc:
+                yield exc
+
+    def solve(
+        self, budget_mask=None, *, _trajectory: _Trajectory | None = None
+    ) -> GreedyResult:
         """Adaptive greedy over the masked items (original indices).
 
         Parameters
@@ -136,6 +245,10 @@ class GreedyState:
         budget_mask:
             ``None`` (all items eligible), a boolean ``(n_items,)`` mask,
             or an integer index array of eligible items.
+        _trajectory:
+            :meth:`sweep`'s resume state: the previous mask's run, which
+            this call replays as far as it can and then overwrites with
+            its own.  Leave unset.
 
         Raises
         ------
@@ -146,40 +259,70 @@ class GreedyState:
         problem = self.problem
         gains = problem.gains
         n_items = problem.n_items
-        residual = self._residual0.copy()
         recorder.count("greedy.calls")
         if self._trivial:
-            return GreedyResult(selection=np.array([], dtype=int), order=())
+            return _result(())
 
-        def infeasible() -> InfeasibleError:
+        if budget_mask is None:
+            available = np.ones(n_items, dtype=bool)
+        else:
+            available = _as_item_mask(budget_mask, n_items).copy()
+        n_eligible = int(np.count_nonzero(available))
+
+        # Resume point: the number of leading steps of the previous run
+        # that this mask repeats unchanged.  A plain solve records into a
+        # throwaway trajectory.  Replay needs C-ordered rows: the stored
+        # scores must come from the same row-sum reduction as T's.
+        trajectory = _Trajectory() if _trajectory is None else _trajectory
+        reused = 0
+        previous = trajectory.eligible
+        if (
+            previous is not None
+            and self._truncated0.flags.c_contiguous
+            and not np.any(previous & ~available)
+        ):
+            reused = trajectory.divergence(gains, available)
+        trajectory.eligible = available.copy()
+        if reused:
+            recorder.count("greedy.steps_reused", reused)
+        if reused == len(trajectory.chosen) and trajectory.feasible:
+            return _result(trajectory.chosen)
+
+        residual = (trajectory.residuals[reused] if reused else self._residual0).copy()
+        trajectory.truncate(reused)
+        order = trajectory.chosen
+        available[order] = False
+        candidates_scanned = 0
+
+        def stall() -> InfeasibleError:
+            recorder.count("greedy.iterations", len(order) - reused)
+            recorder.count("greedy.candidates_scanned", candidates_scanned)
+            trajectory.residuals.append(residual.copy())
+            trajectory.feasible = False
             return InfeasibleError(
                 "greedy cover exhausted all useful items with "
                 f"{int(np.count_nonzero(residual > 0.0))} demands still unmet"
             )
 
-        if budget_mask is None:
-            available = np.ones(n_items, dtype=bool)
-            n_eligible = n_items
-        else:
-            available = _as_item_mask(budget_mask, n_items).copy()
-            n_eligible = int(np.count_nonzero(available))
         if n_eligible == 0:
-            raise infeasible()
-
-        truncated = self._truncated0.copy()
-        order: list[int] = []
-        candidates_scanned = 0
+            raise stall()
+        # Resuming needs T = min(gains, r_t); recomputing it is exact, and
+        # the kernel's T always equals min(gains, residual) column for
+        # column.
+        truncated = (
+            np.minimum(gains, residual[np.newaxis, :]) if reused else self._truncated0.copy()
+        )
         while True:
             scores = truncated.sum(axis=1)
             scores[~available] = -np.inf
             best_score = scores.max()
             if best_score <= _TOL:
-                recorder.count("greedy.iterations", len(order))
-                recorder.count("greedy.candidates_scanned", candidates_scanned)
-                raise infeasible()
+                raise stall()
             best = int(np.argmax(scores >= best_score - _TOL))
             # Every still-eligible item's score was recomputed this step.
             candidates_scanned += n_eligible - len(order)
+            trajectory.residuals.append(residual.copy())
+            trajectory.maxima.append(float(best_score))
             order.append(best)
             available[best] = False
 
@@ -195,11 +338,10 @@ class GreedyState:
             changed = step > 0.0
             truncated[:, changed] = np.minimum(gains[:, changed], residual[changed])
 
-        recorder.count("greedy.iterations", len(order))
+        trajectory.feasible = True
+        recorder.count("greedy.iterations", len(order) - reused)
         recorder.count("greedy.candidates_scanned", candidates_scanned)
-        return GreedyResult(
-            selection=np.array(sorted(order), dtype=int), order=tuple(order)
-        )
+        return _result(order)
 
 
 def greedy_cover(

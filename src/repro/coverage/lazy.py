@@ -51,6 +51,7 @@ scoring pass is paid once per instance rather than once per price group.
 from __future__ import annotations
 
 import heapq
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,6 +124,20 @@ class LazyGreedyState:
             rows[local, indices[lo:hi]] = data[lo:hi]
             scores[start:stop] = np.minimum(rows, residual).sum(axis=1)
         return scores
+
+    def sweep(self, masks: Iterable) -> Iterator[GreedyResult | InfeasibleError]:
+        """Solve each mask in turn, like ``GreedyState.sweep``.
+
+        Yields each mask's :meth:`solve` result or the
+        :class:`InfeasibleError` it raised.  Every mask is solved
+        independently: the cached initial scores already warm-start each
+        one, and no trajectory is replayed.
+        """
+        for mask in masks:
+            try:
+                yield self.solve(mask)
+            except InfeasibleError as exc:
+                yield exc
 
     def solve(self, budget_mask=None) -> GreedyResult:
         """Lazy greedy over the masked items; original item indices.

@@ -34,6 +34,7 @@ from repro.engine.price_set import (
     feasible_price_set,
     group_prices_by_candidates,
 )
+from repro.exceptions import InfeasibleError
 from repro.obs import current_recorder
 
 __all__ = ["SweepPlan", "build_plan"]
@@ -114,9 +115,11 @@ def build_plan(
     :func:`~repro.coverage.lazy.lazy_sparse_greedy_cover`, or the
     auto-dispatching default), the groups are solved as budget-masked
     restrictions of the full-instance problem through one shared state
-    (:func:`~repro.coverage.dispatch.shared_cover_state`) — no per-group
-    gain-matrix slice, and the initial truncated-gain evaluation
-    warm-starts every group since it is independent of the budget mask.
+    (:func:`~repro.coverage.dispatch.shared_cover_state`) and its
+    ``sweep`` — no per-group gain-matrix slice, the initial truncated-gain
+    evaluation warm-starts every group since it is independent of the
+    budget mask, and the dense kernel resumes each group from the
+    previous group's greedy trajectory up to its first divergent step.
     Bit-for-bit identical selections either way.  Any other solver
     receives each group's standalone sub-problem.
 
@@ -141,6 +144,11 @@ def build_plan(
         CoverProblem(gains=instance.effective_quality, demands=instance.demands),
     )
 
+    # Groups are nested (ascending price): the dense state's sweep resumes
+    # each group's run from the previous group's trajectory.
+    outcomes = (
+        state.sweep(group.candidates for group in groups) if state is not None else None
+    )
     winner_sets: list[np.ndarray] = [None] * prices.size  # type: ignore[list-item]
     group_selections: list[np.ndarray] = []
     for group in groups:
@@ -150,8 +158,11 @@ def build_plan(
             n_candidates=int(group.candidates.size),
             n_prices=int(group.price_indices.size),
         ) as span:
-            if state is not None:
-                winners = state.solve(budget_mask=group.candidates).selection
+            if outcomes is not None:
+                outcome = next(outcomes)
+                if isinstance(outcome, InfeasibleError):
+                    raise outcome
+                winners = outcome.selection
             else:
                 local = cover_solver(group.problem).selection
                 winners = group.candidates[local]

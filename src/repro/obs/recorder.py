@@ -90,6 +90,7 @@ METRICS_SCHEMA = "repro-metrics/2"
 #: - ``experiment``  — one CLI experiment invocation
 #: - ``retry``       — one resilience backoff-and-retry of a failed unit
 #: - ``online_stage`` — one stage of an online threshold mechanism
+#: - ``campaign_cell`` — one cell of a :mod:`repro.campaign` campaign
 SPAN_KINDS = (
     "price_set",
     "greedy_group",
@@ -100,6 +101,7 @@ SPAN_KINDS = (
     "experiment",
     "retry",
     "online_stage",
+    "campaign_cell",
 )
 
 

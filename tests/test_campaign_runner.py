@@ -1,6 +1,8 @@
 """Tests for the campaign runner: artifacts, resume, budget tenants."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +206,82 @@ class TestSmokePresetIntegration:
         payloads = runner.run()
         standalone = run_experiment("table1", fast=True, seed=0)
         assert payloads["table1"] == encode_result(standalone)
+
+    def test_smoke_trace_span_kinds_are_canonical(self, tmp_path):
+        """Every span kind a smoke campaign traces is listed in SPAN_KINDS."""
+        from repro.campaign import build_preset
+        from repro.obs.recorder import SPAN_KINDS
+
+        CampaignRunner(build_preset("smoke"), tmp_path).run()
+        kinds = set()
+        traces = sorted((tmp_path / "cells").glob("*/trace.jsonl"))
+        assert traces
+        for trace in traces:
+            for line in trace.read_text(encoding="utf-8").splitlines():
+                obj = json.loads(line)
+                if obj.get("type") == "span":
+                    kinds.add(obj["kind"])
+        assert "campaign_cell" in kinds
+        assert kinds <= set(SPAN_KINDS), sorted(kinds - set(SPAN_KINDS))
+
+
+class TestArtifactCrashSafety:
+    """result.json / metrics.json are written whole or not at all."""
+
+    @staticmethod
+    def write(folder, value):
+        from repro.campaign.artifacts import write_cell_artifacts
+        from repro.obs import MetricsRecorder
+
+        cell = CellSpec(name="c", kind="toy_test_kind", knobs={"value": value})
+        result = ExperimentResult(
+            name="c", title="t", headers=["x"], rows=[(value,)], notes=()
+        )
+        recorder = MetricsRecorder()
+        recorder.count("cells", value)
+        return write_cell_artifacts(
+            folder, campaign="camp", cell=cell, result=result, recorder=recorder
+        )
+
+    @staticmethod
+    def crash_on_rename(monkeypatch):
+        import repro.campaign.artifacts as artifacts
+
+        def boom(src, dst):
+            raise OSError("simulated crash at rename")
+
+        monkeypatch.setattr(artifacts.os, "replace", boom)
+
+    def test_failed_rename_leaves_no_artifact(self, tmp_path, monkeypatch):
+        folder = tmp_path / "cell"
+        self.crash_on_rename(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            self.write(folder, 1.0)
+        assert sorted(p.name for p in folder.iterdir()) == []
+
+    def test_failed_rename_keeps_previous_artifacts_whole(self, tmp_path, monkeypatch):
+        folder = tmp_path / "cell"
+        self.write(folder, 1.0)
+        before = {p.name: p.read_bytes() for p in folder.iterdir()}
+        self.crash_on_rename(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            self.write(folder, 2.0)
+        after = {p.name: p.read_bytes() for p in folder.iterdir()}
+        assert after == before
+        assert read_cell_result(folder).rows == [(1.0,)]
+
+    def test_contents_fsynced_before_rename(self, tmp_path, monkeypatch):
+        import repro.campaign.artifacts as artifacts
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(
+            artifacts.os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))[1]
+        )
+        monkeypatch.setattr(
+            artifacts.os,
+            "replace",
+            lambda src, dst: (events.append(Path(dst).name), real_replace(src, dst))[1],
+        )
+        self.write(tmp_path / "cell", 1.0)
+        assert events == ["fsync", "result.json", "fsync", "metrics.json"]
