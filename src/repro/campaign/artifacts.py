@@ -7,9 +7,10 @@ Every completed campaign cell owns one artifact folder::
         metrics.json   # the cell's MetricsRecorder snapshot
         trace.jsonl    # the cell's span trace (repro-trace/1)
 
-``result.json`` and ``metrics.json`` are written atomically (temp file
-in the same folder, fsync, ``os.replace``): a crash leaves either no
-file or a complete one, never a torn one.
+All three files are written atomically (temp file in the same folder,
+fsync, ``os.replace``), and the folder is fsynced after the renames: a
+crash leaves either no file or a complete one, never a torn one, and a
+file the writer returned from survives the crash.
 
 ``result.json`` and the checkpoint payload share one encoding
 (:func:`encode_result` / :func:`decode_result`): finite floats
@@ -91,14 +92,13 @@ def decode_result(payload: Mapping) -> ExperimentResult:
     )
 
 
-def _write_json_atomic(path: Path, doc) -> None:
-    """Write ``doc`` as JSON to ``path``: the whole file or nothing.
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``: the whole file or nothing.
 
     The text goes to a temp file in the same folder, is fsynced, and is
     then renamed over ``path``; on any failure the temp file is removed
     and ``path`` keeps its previous state.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -109,6 +109,15 @@ def _write_json_atomic(path: Path, doc) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _fsync_dir(folder: Path) -> None:
+    """Make the renames into ``folder`` durable."""
+    fd = os.open(folder, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_cell_artifacts(
@@ -136,12 +145,13 @@ def write_cell_artifacts(
         "knobs": dict(cell.knobs),
         "result": encode_result(result),
     }
-    _write_json_atomic(folder / "result.json", doc)
-    _write_json_atomic(folder / "metrics.json", recorder.snapshot())
-    recorder.write_trace(
-        folder / "trace.jsonl",
-        meta={"generator": "repro-campaign", "campaign": campaign, "cell": cell.name},
+    for name, payload in (("result.json", doc), ("metrics.json", recorder.snapshot())):
+        _write_atomic(folder / name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    trace = recorder.trace_lines(
+        meta={"generator": "repro-campaign", "campaign": campaign, "cell": cell.name}
     )
+    _write_atomic(folder / "trace.jsonl", "\n".join(trace) + "\n")
+    _fsync_dir(folder)
     return folder
 
 

@@ -9,10 +9,11 @@ implements the problem model and three solvers:
 * :func:`~repro.coverage.greedy.greedy_cover` — the truncated-marginal-gain
   greedy used inside Algorithm 1 (lines 8–13), with Lemma 2's ``2·β·H_m``
   approximation guarantee.
-* :func:`~repro.coverage.exact.solve_exact` — certified-optimal solving,
-  either via our own branch-and-bound (LP-relaxation bounds + greedy
-  incumbents) or via the HiGHS MILP backend (`scipy.optimize.milp`), which
-  substitutes for the paper's GUROBI.
+* :func:`~repro.coverage.exact.solve_exact` — certified-optimal solving:
+  by default an LP-bound check and a node-budgeted decision search in
+  front of the HiGHS MILP backend (`scipy.optimize.milp`, which
+  substitutes for the paper's GUROBI), or either of HiGHS alone and our
+  own branch-and-bound (LP-relaxation bounds + greedy incumbents).
 * :func:`~repro.coverage.lp.lp_lower_bound` — the LP relaxation used for
   bounding.
 
@@ -46,9 +47,9 @@ from repro.coverage.dispatch import (
     use_lazy_kernel,
 )
 from repro.coverage.reference import reference_greedy_cover, reference_static_order_cover
-from repro.coverage.exact import ExactResult, solve_exact
+from repro.coverage.exact import EXACT_BACKENDS, ExactResult, solve_exact
 from repro.coverage.rounding import RoundingResult, randomized_rounding_cover
-from repro.coverage.lp import lp_lower_bound
+from repro.coverage.lp import LPResult, lp_lower_bound
 from repro.coverage.simplex import SimplexSolution, covering_lp_simplex
 from repro.coverage.bounds import (
     greedy_approximation_factor,
@@ -71,10 +72,12 @@ __all__ = [
     "use_lazy_kernel",
     "reference_greedy_cover",
     "reference_static_order_cover",
+    "EXACT_BACKENDS",
     "ExactResult",
     "solve_exact",
     "RoundingResult",
     "randomized_rounding_cover",
+    "LPResult",
     "lp_lower_bound",
     "SimplexSolution",
     "covering_lp_simplex",

@@ -30,10 +30,17 @@ class LPResult:
         Optimal fractional cardinality ``Σ_i x_i``.
     solution:
         ``(M,)`` optimal fractional selection.
+    duals:
+        ``(K,)`` optimal row duals ``y ≥ 0`` of the covering constraints
+        (0 for constraints without demand).  Any ``y ≥ 0`` turns the
+        rows into one valid surrogate row ``(G y) · x ≥ y · demands``;
+        the optimal ``y`` makes it about as tight as the LP.  ``None``
+        from the simplex backend, which does not report them.
     """
 
     objective: float
     solution: np.ndarray
+    duals: np.ndarray | None = None
 
     @property
     def integral_bound(self) -> int:
@@ -94,7 +101,11 @@ def lp_lower_bound(
     active = problem.active_constraints
     if active.size == 0:
         solution = lower.copy()
-        return LPResult(objective=float(lower.sum()), solution=solution)
+        return LPResult(
+            objective=float(lower.sum()),
+            solution=solution,
+            duals=np.zeros(problem.n_constraints),
+        )
 
     if backend == "simplex":
         return _simplex_with_restrictions(problem, lower, upper)
@@ -111,7 +122,15 @@ def lp_lower_bound(
         raise InfeasibleError("LP relaxation is infeasible under the restrictions")
     if not res.success:
         raise SolverError(f"LP solver failed: {res.message}")
-    return LPResult(objective=float(res.fun), solution=np.asarray(res.x, dtype=float))
+    # HiGHS reports the sensitivity of the objective to each b_ub entry;
+    # the rows are negated ≥-constraints, so the duals are its negation.
+    duals = np.zeros(problem.n_constraints)
+    duals[active] = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=float), 0.0)
+    return LPResult(
+        objective=float(res.fun),
+        solution=np.asarray(res.x, dtype=float),
+        duals=duals,
+    )
 
 
 def _simplex_with_restrictions(

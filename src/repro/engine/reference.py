@@ -109,7 +109,7 @@ def reference_baseline_pmf(instance: AuctionInstance, epsilon: float) -> PricePM
 def reference_optimal_total_payment(
     instance: AuctionInstance,
     *,
-    backend: str = "milp",
+    backend: str = "auto",
     time_limit_per_solve: float | None = 120.0,
     max_exact_solves: int | None = None,
 ) -> tuple[float, np.ndarray, float]:

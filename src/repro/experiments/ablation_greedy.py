@@ -40,15 +40,16 @@ def run(*, fast: bool = False, seed: int = 0, n_instances: int = 10) -> Experime
         group = group_prices_by_candidates(instance, prices)[0]
         problem = group.problem
 
-        adaptive = greedy_cover(problem).size
+        greedy = greedy_cover(problem)
+        adaptive = greedy.size
         static = static_order_cover(problem).size
-        lp = lp_lower_bound(problem).objective
-        exact = solve_exact(problem, time_limit=30.0)
+        lp = lp_lower_bound(problem)
+        exact = solve_exact(problem, time_limit=30.0, lp=lp, incumbent=greedy.selection)
         rows.append(
             (
                 trial,
                 problem.n_items,
-                round(lp, 2),
+                round(lp.objective, 2),
                 exact.size,
                 adaptive,
                 static,

@@ -3,8 +3,8 @@
 ``R_OPT = min_{p ∈ P} p · |S_OPT(p)|`` where ``S_OPT(p)`` is the
 minimum-cardinality winner set among workers asking at most ``p``.  The
 paper computes ``S_OPT`` with GUROBI; we use the certified exact solvers
-of :mod:`repro.coverage.exact` (HiGHS MILP by default, or our own
-branch-and-bound).
+of :mod:`repro.coverage.exact` (by default ``"auto"``: LP bound, a
+budgeted decision search, then HiGHS MILP).
 
 Naively this needs one NP-hard solve per affordable-worker group; like
 the paper's GUROBI runs (Table II: up to 6,139 s), that can be very slow.
@@ -21,6 +21,10 @@ before ever calling the exact solver:
   dimension.  Pruned groups provably cannot contain the optimum, so the
   result stays exact.
 
+Each exact solve reuses what the pruning pass already holds: the group's
+LP (its bound and row duals) and its greedy cover as the incumbent, so no
+LP or greedy run is repeated inside the solver.
+
 Exposed both as a plain function and as a
 :class:`~repro.auction.mechanism.Mechanism` whose "distribution" is a
 point mass on the optimal price, so the experiment harness treats all
@@ -36,10 +40,11 @@ import numpy as np
 
 from repro.auction.instance import AuctionInstance
 from repro.auction.mechanism import Mechanism, PricePMF
-from repro.coverage.exact import solve_exact
+from repro.coverage.exact import check_exact_backend, solve_exact
 from repro.coverage.dispatch import auto_cover_solver
 from repro.coverage.lp import lp_lower_bound
 from repro.engine.engine import current_engine
+from repro.obs import current_recorder
 from repro.tolerances import DEMAND_TOL
 
 __all__ = ["OptimalSinglePriceMechanism", "OptimalResult", "optimal_total_payment"]
@@ -75,7 +80,7 @@ class OptimalResult:
 def optimal_total_payment(
     instance: AuctionInstance,
     *,
-    backend: str = "milp",
+    backend: str = "auto",
     time_limit_per_solve: float | None = 120.0,
     max_exact_solves: int | None = None,
 ) -> OptimalResult:
@@ -86,9 +91,9 @@ def optimal_total_payment(
     instance:
         The auction instance.
     backend:
-        Exact solver backend, ``"milp"`` (default) or ``"bnb"``.
+        Exact solver backend: ``"auto"`` (default), ``"milp"`` or ``"bnb"``.
     time_limit_per_solve:
-        Per-group wall-clock budget (seconds) for the MILP backend; a
+        Per-group wall-clock budget (seconds) for HiGHS; a
         timed-out group contributes its incumbent and flips ``certified``
         to False.  ``None`` disables the limit.
     max_exact_solves:
@@ -99,9 +104,13 @@ def optimal_total_payment(
 
     Raises
     ------
+    ValueError
+        When ``backend`` is unknown (before any work is done).
     EmptyPriceSetError
         When no grid price is feasible.
     """
+    check_exact_backend(backend)
+    recorder = current_recorder()
     # The sweep plan supplies the price set, groups, and the per-group
     # greedy covers (the historical upper-bound pass) — shared with any
     # other greedy-backed mechanism evaluated on this instance.
@@ -115,9 +124,15 @@ def optimal_total_payment(
     group_prices = np.array(
         [float(prices[g.price_indices[0]]) for g in groups]
     )
-    lower_bounds = np.empty(len(groups))
-    for idx, group in enumerate(groups):
-        lower_bounds[idx] = group_prices[idx] * lp_lower_bound(group.problem).integral_bound
+    lps = []
+    for group in groups:
+        with recorder.span(
+            "lp_bound", "optimal.lp_bound", n_candidates=int(group.candidates.size)
+        ) as span:
+            lp = lp_lower_bound(group.problem)
+            span.set(objective=lp.objective)
+        lps.append(lp)
+    lower_bounds = group_prices * np.array([lp.integral_bound for lp in lps])
 
     best: OptimalResult | None = None
     n_solves = 0
@@ -130,7 +145,12 @@ def optimal_total_payment(
             certified = False  # remaining groups were never ruled out
             break
         result = solve_exact(
-            group.problem, backend=backend, time_limit=time_limit_per_solve
+            group.problem,
+            backend=backend,
+            time_limit=time_limit_per_solve,
+            lp=lps[idx],
+            # The plan's greedy cover, in the group's local indices.
+            incumbent=np.searchsorted(group.candidates, plan.group_selections[idx]),
         )
         n_solves += 1
         certified = certified and result.certified
@@ -145,6 +165,7 @@ def optimal_total_payment(
                 n_exact_solves=n_solves,
             )
     assert best is not None  # feasible_price_set guarantees ≥ 1 group
+    recorder.count("optimal.groups_pruned", len(groups) - n_solves)
     return OptimalResult(
         price=best.price,
         winners=best.winners,
@@ -169,13 +190,11 @@ class OptimalSinglePriceMechanism(Mechanism):
 
     def __init__(
         self,
-        backend: str = "milp",
+        backend: str = "auto",
         time_limit_per_solve: float | None = 120.0,
         max_exact_solves: int | None = None,
     ) -> None:
-        if backend not in ("milp", "bnb"):
-            raise ValueError(f"unknown exact backend {backend!r}; use 'milp' or 'bnb'")
-        self.backend = backend
+        self.backend = check_exact_backend(backend)
         self.time_limit_per_solve = time_limit_per_solve
         self.max_exact_solves = max_exact_solves
 

@@ -91,6 +91,8 @@ METRICS_SCHEMA = "repro-metrics/2"
 #: - ``retry``       — one resilience backoff-and-retry of a failed unit
 #: - ``online_stage`` — one stage of an online threshold mechanism
 #: - ``campaign_cell`` — one cell of a :mod:`repro.campaign` campaign
+#: - ``lp_bound``    — one price group's LP relaxation in the optimal benchmark
+#: - ``exact_solve`` — one :func:`~repro.coverage.exact.solve_exact` call
 SPAN_KINDS = (
     "price_set",
     "greedy_group",
@@ -102,6 +104,8 @@ SPAN_KINDS = (
     "retry",
     "online_stage",
     "campaign_cell",
+    "lp_bound",
+    "exact_solve",
 )
 
 

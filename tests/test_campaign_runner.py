@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -284,4 +285,59 @@ class TestArtifactCrashSafety:
             lambda src, dst: (events.append(Path(dst).name), real_replace(src, dst))[1],
         )
         self.write(tmp_path / "cell", 1.0)
-        assert events == ["fsync", "result.json", "fsync", "metrics.json"]
+        # Each file: contents fsynced, then renamed; the folder last.
+        assert events == [
+            "fsync", "result.json", "fsync", "metrics.json", "fsync", "trace.jsonl", "fsync",
+        ]
+
+    def test_failed_trace_rename_leaves_no_temp_and_no_partial_trace(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.artifacts as artifacts
+
+        folder = tmp_path / "cell"
+        self.write(folder, 1.0)
+        before = (folder / "trace.jsonl").read_bytes()
+        real_replace = os.replace
+
+        def crash_on_trace(src, dst):
+            if Path(dst).name == "trace.jsonl":
+                raise OSError("simulated crash at trace rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(artifacts.os, "replace", crash_on_trace)
+        with pytest.raises(OSError, match="simulated crash"):
+            self.write(folder, 2.0)
+        assert sorted(p.name for p in folder.iterdir()) == [
+            "metrics.json", "result.json", "trace.jsonl",
+        ]
+        assert (folder / "trace.jsonl").read_bytes() == before
+
+        fresh = tmp_path / "fresh"
+        with pytest.raises(OSError, match="simulated crash"):
+            self.write(fresh, 1.0)
+        assert sorted(p.name for p in fresh.iterdir()) == ["metrics.json", "result.json"]
+
+    def test_folder_fsynced_after_the_renames(self, tmp_path, monkeypatch):
+        import repro.campaign.artifacts as artifacts
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            events.append("dir fsync" if is_dir else "fsync")
+            real_fsync(fd)
+
+        monkeypatch.setattr(artifacts.os, "fsync", fsync)
+        monkeypatch.setattr(
+            artifacts.os,
+            "replace",
+            lambda src, dst: (events.append("replace"), real_replace(src, dst))[1],
+        )
+        self.write(tmp_path / "cell", 1.0)
+        assert events[-1] == "dir fsync"
+        assert events.count("dir fsync") == 1
+        assert events.index("dir fsync") > max(
+            i for i, e in enumerate(events) if e == "replace"
+        )

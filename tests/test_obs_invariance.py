@@ -16,6 +16,7 @@ from repro.experiments.runner import payment_sweep
 from repro.mechanisms.baseline import BaselineAuction
 from repro.mechanisms.dp_hsrc import DPHSRCAuction
 from repro.mechanisms.dp_variants import PermuteFlipHSRCAuction
+from repro.mechanisms.optimal import optimal_total_payment
 from repro.obs import MetricsRecorder, NullRecorder, use_recorder
 from repro.workloads.generator import generate_instance
 
@@ -87,6 +88,41 @@ class TestFiftySeedInvariance:
             with use_recorder(MetricsRecorder()):
                 recorded = mechanism.run(instance, seed=seed)
             _assert_outcomes_identical(bare, recorded)
+
+
+class TestOptimalInvariance:
+    """The optimal benchmark's spans and counters only watch, too."""
+
+    @staticmethod
+    def _key(result):
+        return (
+            result.price,
+            result.winners.tolist(),
+            result.total_payment,
+            result.certified,
+            result.n_exact_solves,
+        )
+
+    def test_outcomes_identical_across_recorders(self):
+        for seed in range(10):
+            instance = _instance(seed)
+            with use_recorder(NullRecorder()):
+                nulled = optimal_total_payment(instance, time_limit_per_solve=30.0)
+            active = MetricsRecorder()
+            with use_recorder(active):
+                recorded = optimal_total_payment(instance, time_limit_per_solve=30.0)
+            assert self._key(recorded) == self._key(nulled)
+
+            kinds = active.span_counts_by_kind()
+            assert kinds["exact_solve"] == recorded.n_exact_solves
+            assert (
+                kinds["lp_bound"]
+                == recorded.n_exact_solves + active.counters["optimal.groups_pruned"]
+            )
+            paths = [s.attrs["path"] for s in active.spans if s.kind == "exact_solve"]
+            assert paths.count("bound") == active.counters["exact.settled_by_bound"]
+            assert paths.count("milp") == active.counters["exact.milp_fallbacks"]
+            assert set(paths) <= {"bound", "search", "milp"}
 
 
 class TestLedgerAccounting:
